@@ -310,16 +310,6 @@ type Options struct {
 	// histograms, fault counters and (with Metrics.SetTimeline) a
 	// delivery timeline from the run.
 	Metrics *Metrics
-	// Jitter, when positive, adds a uniformly random extra delay in
-	// [0, Jitter) to every message. Per-pair FIFO delivery is preserved.
-	//
-	// Deprecated: use Faults.Jitter, which applies on every fabric and
-	// composes with the other fault knobs.
-	Jitter time.Duration
-	// JitterSeed seeds the jitter generator (0 uses a fixed default).
-	//
-	// Deprecated: use Faults.Seed.
-	JitterSeed int64
 	// ScheduleSeed, when non-zero, randomizes (reproducibly) which of the
 	// simultaneously runnable simulated processes runs next on FabricSim —
 	// schedule exploration for protocol testing. Seed 0 is the FIFO
@@ -362,9 +352,6 @@ func (o *Options) normalize() (model.Params, error) {
 		if h < 0 || h >= o.Procs {
 			return model.Params{}, fmt.Errorf("armci: LockHomes[%d] = %d out of range [0,%d)", i, h, o.Procs)
 		}
-	}
-	if o.Jitter < 0 {
-		return model.Params{}, fmt.Errorf("armci: Options.Jitter must be >= 0, got %v", o.Jitter)
 	}
 	if o.Deadline < 0 {
 		return model.Params{}, fmt.Errorf("armci: Options.Deadline must be >= 0, got %v", o.Deadline)
@@ -445,8 +432,6 @@ func Run(opt Options, body func(p *Proc)) (*Report, error) {
 		Trace:           stats,
 		Faults:          opt.Faults,
 		Metrics:         opt.Metrics,
-		Jitter:          opt.Jitter,
-		JitterSeed:      opt.JitterSeed,
 		ScheduleSeed:    opt.ScheduleSeed,
 		EventPoolHazard: opt.SimEventPoolHazard,
 		Deadline:        opt.Deadline,

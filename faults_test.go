@@ -8,6 +8,8 @@ import (
 	"time"
 
 	"armci"
+	"armci/internal/msg"
+	"armci/internal/transport"
 )
 
 // faultPlan is the stress plan the invariant tests run under: jitter on
@@ -460,34 +462,46 @@ func TestCrashFaultFailsFast(t *testing.T) {
 	}
 }
 
-// TestOpDeadlineBoundsAWedgedWait: a predicate that can never become true
-// is cut off by Options.OpDeadline on every fabric and surfaces as a
-// rank-attributed op-timeout fault carrying the wait tag.
+// TestOpDeadlineBoundsAWedgedWait: a predicate that can never become true,
+// or a receive of a message nobody sends, is cut off by
+// Options.OpDeadline on every fabric and surfaces as a rank-attributed
+// op-timeout fault carrying the operation's tag.
 func TestOpDeadlineBoundsAWedgedWait(t *testing.T) {
+	ops := []struct {
+		name, tag string
+		wedge     func(env transport.Env)
+	}{
+		{"wait", "wedged", func(env transport.Env) { env.WaitUntil("wedged", func() bool { return false }) }},
+		{"recv", "recv@p0", func(env transport.Env) { env.Recv(msg.MatchKind(msg.KindSend)) }},
+	}
 	for _, fabric := range []armci.FabricKind{armci.FabricSim, armci.FabricChan, armci.FabricTCP} {
 		t.Run(fmt.Sprint(fabric), func(t *testing.T) {
-			_, err := armci.Run(armci.Options{
-				Procs:      2,
-				Fabric:     fabric,
-				OpDeadline: 100 * time.Millisecond,
-			}, func(p *armci.Proc) {
-				if p.Rank() != 0 {
-					return
-				}
-				p.Env().WaitUntil("wedged", func() bool { return false })
-			})
-			var fe *armci.FaultError
-			if !errors.As(err, &fe) {
-				t.Fatalf("want *armci.FaultError, got %v", err)
-			}
-			if fe.Kind != armci.FaultOpTimeout {
-				t.Fatalf("want kind %v, got %v (%v)", armci.FaultOpTimeout, fe.Kind, fe)
-			}
-			if fe.Rank != 0 || fe.Server {
-				t.Fatalf("timeout attributed to %v, want user rank 0", fe)
-			}
-			if !strings.Contains(fe.Op, "wedged") {
-				t.Fatalf("fault does not carry the wait tag: %v", fe)
+			for _, op := range ops {
+				t.Run(op.name, func(t *testing.T) {
+					_, err := armci.Run(armci.Options{
+						Procs:      2,
+						Fabric:     fabric,
+						OpDeadline: 100 * time.Millisecond,
+					}, func(p *armci.Proc) {
+						if p.Rank() != 0 {
+							return
+						}
+						op.wedge(p.Env())
+					})
+					var fe *armci.FaultError
+					if !errors.As(err, &fe) {
+						t.Fatalf("want *armci.FaultError, got %v", err)
+					}
+					if fe.Kind != armci.FaultOpTimeout {
+						t.Fatalf("want kind %v, got %v (%v)", armci.FaultOpTimeout, fe.Kind, fe)
+					}
+					if fe.Rank != 0 || fe.Server {
+						t.Fatalf("timeout attributed to %v, want user rank 0", fe)
+					}
+					if !strings.Contains(fe.Op, op.tag) {
+						t.Fatalf("fault does not carry the tag %q: %v", op.tag, fe)
+					}
+				})
 			}
 		})
 	}

@@ -3,15 +3,11 @@ package transport
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"armci/internal/cluster"
-	"armci/internal/model"
 	"armci/internal/msg"
 	"armci/internal/pipeline"
-	"armci/internal/shmem"
-	"armci/internal/trace"
 	"armci/internal/wire"
 )
 
@@ -34,33 +30,17 @@ import (
 // race because a directed pair's send state lives only at its source
 // worker.
 type ProcFabric struct {
-	cfg   Config
-	env   cluster.WorkerEnv
-	space *shmem.Space
-	pipe  *pipeline.Pipeline
-
-	mu        sync.Mutex
-	cond      *sync.Cond
-	mailboxes map[msg.Addr]*msg.Queue
-	shutdown  bool
-	fault     error // cluster fault; aborts every blocked local actor
+	live
+	env  cluster.WorkerEnv
+	sess *cluster.Session
 
 	// Elastic membership state, guarded by mu. A view change interrupts
-	// local user actors (viewIntr) so the elastic runner can drive the
-	// recovery protocol; servers keep running to serve restore reads.
+	// local user actors (live.userIntr) so the elastic runner can drive
+	// the recovery protocol; servers keep running to serve restore reads.
 	viewEpoch uint64            // installed membership view epoch
 	viewDead  int               // node slot replaced by the pending view change
-	viewIntr  bool              // user actors must abort into recovery
 	resume    *wire.EpochReport // latest recovery hand-off, nil until broadcast
 	released  map[uint64]bool   // cluster barrier releases observed
-
-	users   []actorSpec
-	servers []actorSpec
-
-	start time.Time
-	sess  *cluster.Session
-
-	panics chan error
 }
 
 // NewProc builds the fabric for the worker described by env. The config
@@ -68,62 +48,41 @@ type ProcFabric struct {
 // cluster than the one that spawned it is a deployment bug worth
 // failing loudly on.
 func NewProc(cfg Config, env cluster.WorkerEnv) (*ProcFabric, error) {
-	if err := cfg.normalize(); err != nil {
-		return nil, err
-	}
-	if cfg.Procs != env.Procs || cfg.ProcsPerNode != env.ProcsPerNode {
-		return nil, fmt.Errorf("procnet: config shape %d procs × %d/node does not match launch env %d × %d",
-			cfg.Procs, cfg.ProcsPerNode, env.Procs, env.ProcsPerNode)
-	}
 	f := &ProcFabric{
-		cfg:       cfg,
 		env:       env,
-		space:     shmem.NewSpace(cfg.nodeMap()),
-		mailboxes: make(map[msg.Addr]*msg.Queue),
 		viewEpoch: env.ViewEpoch,
 		viewDead:  -1,
 		released:  make(map[uint64]bool),
-		panics:    make(chan error, cfg.Procs+2*cfg.numNodes()+1),
 	}
 	// Like tcpnet, procnet measures real socket costs: the cost-model
 	// stage stays inactive; trace, fault injection and metrics run.
-	f.pipe = cfg.newPipeline(f.space, false)
+	if err := f.init("procnet", cfg, false); err != nil {
+		return nil, err
+	}
+	if f.cfg.Procs != env.Procs || f.cfg.ProcsPerNode != env.ProcsPerNode {
+		return nil, fmt.Errorf("procnet: config shape %d procs × %d/node does not match launch env %d × %d",
+			f.cfg.Procs, f.cfg.ProcsPerNode, env.Procs, env.ProcsPerNode)
+	}
 	// A respawned incarnation stamps its traffic into the view it was
 	// spawned under from its first message.
 	f.pipe.SetEpoch(env.ViewEpoch)
-	f.cond = sync.NewCond(&f.mu)
-	f.space.SetOnWrite(func() {
-		f.mu.Lock()
-		f.cond.Broadcast()
-		f.mu.Unlock()
-	})
 	return f, nil
 }
-
-// Space returns this worker's shared-memory replica.
-func (f *ProcFabric) Space() *shmem.Space { return f.space }
-
-// Config returns the cluster configuration.
-func (f *ProcFabric) Config() *Config { return &f.cfg }
 
 // SpawnUser registers the body of rank's user process. Ranks hosted by
 // other workers are ignored — they run in their own OS processes.
 func (f *ProcFabric) SpawnUser(rank int, body func(Env)) {
-	a := msg.User(rank)
-	if endpointNode(f.space, a) != f.env.Node {
-		return
+	if endpointNode(f.space, msg.User(rank)) == f.env.Node {
+		f.live.SpawnUser(rank, body)
 	}
-	f.users = append(f.users, actorSpec{addr: a, body: body})
 }
 
 // SpawnServer registers the body of node's data server (or NIC agent,
 // for IDs at or beyond the node count). Non-local ones are ignored.
 func (f *ProcFabric) SpawnServer(node int, body func(Env)) {
-	a := msg.ServerOf(node)
-	if endpointNode(f.space, a) != f.env.Node {
-		return
+	if endpointNode(f.space, msg.ServerOf(node)) == f.env.Node {
+		f.live.SpawnServer(node, body)
 	}
-	f.servers = append(f.servers, actorSpec{addr: a, body: body})
 }
 
 // Run joins the launch rendezvous, executes the local actors to
@@ -131,15 +90,10 @@ func (f *ProcFabric) SpawnServer(node int, body func(Env)) {
 // session down. A worker lost elsewhere in the launch surfaces as its
 // rank-attributed *pipeline.FaultError.
 func (f *ProcFabric) Run() error {
-	// Mailboxes and the clock epoch must exist before Join: the session
-	// can deliver data the instant the rendezvous completes, and onData
-	// stamps arrivals against f.start.
-	all := append(append([]actorSpec(nil), f.users...), f.servers...)
-	for _, a := range all {
-		f.mailboxes[a.addr] = &msg.Queue{}
-	}
+	// The mailboxes (made at spawn) and the clock epoch must exist
+	// before Join: the session can deliver data the instant the
+	// rendezvous completes, and onData stamps arrivals against f.start.
 	f.start = time.Now()
-
 	sess, err := cluster.Join(f.env, cluster.Handlers{
 		Data:    f.onData,
 		Fault:   f.onFault,
@@ -156,84 +110,21 @@ func (f *ProcFabric) Run() error {
 	}
 	f.sess = sess
 	defer sess.Close()
-	var userWG, serverWG sync.WaitGroup
-	runActor := func(spec actorSpec, wg *sync.WaitGroup) {
-		defer wg.Done()
-		defer func() {
-			if r := recover(); r != nil {
-				if a, ok := r.(abort); ok && a.err != nil {
-					f.panics <- a.err // structured fault, propagate verbatim
-				} else {
-					f.panics <- fmt.Errorf("procnet: actor %v panicked: %v", spec.addr, r)
-				}
-				f.mu.Lock()
-				f.shutdown = true
-				f.cond.Broadcast()
-				f.mu.Unlock()
-			}
-		}()
-		spec.body(&procEnv{f: f, addr: spec.addr})
-	}
-	for _, a := range f.servers {
-		serverWG.Add(1)
-		go runActor(a, &serverWG)
-	}
-	for _, a := range f.users {
-		userWG.Add(1)
-		go runActor(a, &userWG)
-	}
+	return f.runActors(func(e liveEnv) Env { return &procEnv{e, f} }, f.drain)
+}
 
-	deadline := f.cfg.Deadline
-	if deadline == 0 {
-		deadline = 120 * time.Second
-	}
-	usersDone := make(chan struct{})
-	go func() { userWG.Wait(); close(usersDone) }()
-	select {
-	case <-usersDone:
-	case perr := <-f.panics:
-		return perr
-	case <-time.After(deadline):
-		return fmt.Errorf("procnet: deadline %v exceeded waiting for node %d's user processes", deadline, f.env.Node)
-	}
-
-	// Local users finished; servers must keep serving until every
-	// node's users have — remote ranks may still target this node's
-	// memory. The coordinator's drain broadcast is that barrier.
-	if derr := sess.UserDone(); derr != nil {
-		if fe := sess.Err(); fe != nil {
-			return fe
+// drain reports this node's users done. Servers must keep serving until
+// every node's users have — remote ranks may still target this node's
+// memory — so the coordinator's drain broadcast is the barrier before
+// they stop.
+func (f *ProcFabric) drain() (<-chan struct{}, error) {
+	if err := f.sess.UserDone(); err != nil {
+		if fe := f.sess.Err(); fe != nil {
+			return nil, fe
 		}
-		return fmt.Errorf("procnet: reporting users done: %w", derr)
+		return nil, fmt.Errorf("procnet: reporting users done: %w", err)
 	}
-	select {
-	case <-sess.Drained():
-	case perr := <-f.panics:
-		return perr
-	case <-time.After(deadline):
-		return fmt.Errorf("procnet: deadline %v exceeded waiting for the cluster drain", deadline)
-	}
-
-	f.mu.Lock()
-	f.shutdown = true
-	f.cond.Broadcast()
-	f.mu.Unlock()
-
-	serversDone := make(chan struct{})
-	go func() { serverWG.Wait(); close(serversDone) }()
-	select {
-	case <-serversDone:
-	case perr := <-f.panics:
-		return perr
-	case <-time.After(deadline):
-		return fmt.Errorf("procnet: deadline %v exceeded waiting for servers to drain", deadline)
-	}
-	select {
-	case perr := <-f.panics:
-		return perr
-	default:
-	}
-	return nil
+	return f.sess.Drained(), nil
 }
 
 // onData is the session's delivery callback: decode, run the inbound
@@ -245,25 +136,13 @@ func (f *ProcFabric) onData(body []byte) {
 		f.panics <- fmt.Errorf("procnet: node %d received corrupt frame: %w", f.env.Node, err)
 		return
 	}
-	if !f.pipe.Inbound(m, time.Since(f.start)) {
-		return
-	}
-	f.mu.Lock()
-	if q := f.mailboxes[m.Dst]; q != nil {
-		q.Put(m)
-	}
-	f.cond.Broadcast()
-	f.mu.Unlock()
+	f.deliver(m)
 }
 
 // onFault surfaces a cluster fault — a peer worker died or the
 // coordinator vanished — to every blocked local actor and to Run.
 func (f *ProcFabric) onFault(fe *pipeline.FaultError) {
-	f.mu.Lock()
-	f.fault = fe
-	f.shutdown = true
-	f.cond.Broadcast()
-	f.mu.Unlock()
+	f.stop(fe)
 	f.panics <- fe
 }
 
@@ -279,7 +158,7 @@ func (f *ProcFabric) onView(v wire.View) {
 	if v.Epoch > f.viewEpoch {
 		f.viewEpoch = v.Epoch
 		f.viewDead = v.Dead
-		f.viewIntr = true
+		f.userIntr = &ViewInterrupt{Epoch: v.Epoch, Dead: v.Dead}
 		f.resume = nil
 		f.released = make(map[uint64]bool)
 		f.cond.Broadcast()
@@ -380,7 +259,7 @@ func (e *procEnv) AckView(committed, shadow, staged uint64) {
 	f.mu.Lock()
 	epoch := f.viewEpoch
 	dead := f.viewDead
-	f.viewIntr = false
+	f.userIntr = nil
 	for _, q := range f.mailboxes {
 		for q.TryPop(func(m *msg.Message) bool { return m.Epoch < epoch }) != nil {
 		}
@@ -433,60 +312,31 @@ func (e *procEnv) ClusterBarrier(id uint64) {
 	}
 	f.mu.Lock()
 	for !f.released[id] {
-		if ferr := f.fault; ferr != nil {
+		if err := f.interruptLocked(e.addr); err != nil {
 			f.mu.Unlock()
-			panic(abort{ferr})
-		}
-		if f.viewIntr {
-			vi := &ViewInterrupt{Epoch: f.viewEpoch, Dead: f.viewDead}
-			f.mu.Unlock()
-			panic(abort{vi})
+			panic(abort{err})
 		}
 		f.cond.Wait()
 	}
 	f.mu.Unlock()
 }
 
-// viewIntrCheckLocked aborts a user actor caught by a membership
-// change. Callers hold f.mu; servers are never interrupted — they must
-// keep serving the restore reads of the recovery protocol.
-func (e *procEnv) viewIntrCheckLocked() {
-	f := e.f
-	if f.viewIntr && !e.addr.Server {
-		vi := &ViewInterrupt{Epoch: f.viewEpoch, Dead: f.viewDead}
-		f.mu.Unlock()
-		panic(abort{vi})
-	}
-}
-
 // procEnv is the Env of one local actor on the proc fabric.
 type procEnv struct {
-	f    *ProcFabric
-	addr msg.Addr
+	liveEnv
+	f *ProcFabric
 }
 
 var _ Env = (*procEnv)(nil)
 
-func (e *procEnv) Self() msg.Addr       { return e.addr }
-func (e *procEnv) Rank() int            { return e.addr.ID }
-func (e *procEnv) Size() int            { return e.f.cfg.Procs }
-func (e *procEnv) NumNodes() int        { return e.f.cfg.numNodes() }
-func (e *procEnv) Node(rank int) int    { return e.f.space.Node(rank) }
-func (e *procEnv) Space() *shmem.Space  { return e.f.space }
-func (e *procEnv) Params() model.Params { return e.f.cfg.Model }
-func (e *procEnv) Trace() *trace.Stats  { return e.f.cfg.Trace }
-func (e *procEnv) Clock() Clock         { return wallClock{e.f.start} }
-
-func (e *procEnv) Charge(d time.Duration) {
-	// Like tcpnet: real socket costs, no injected CPU model.
-}
-
 func (e *procEnv) Send(to msg.Addr, m *msg.Message) {
 	e.f.mu.Lock()
-	e.viewIntrCheckLocked()
+	intr := e.f.userIntr
 	e.f.mu.Unlock()
-	err := e.f.pipe.SendTo(e.addr, to, m,
-		func() time.Duration { return time.Since(e.f.start) }, nil,
+	if intr != nil && !e.addr.Server {
+		panic(abort{intr})
+	}
+	err := e.f.pipe.SendTo(e.addr, to, m, e.f.now, nil,
 		func(d pipeline.Delivery) {
 			if werr := e.f.sess.SendMsg(d.Msg); werr != nil {
 				if fe := e.f.sess.Err(); fe != nil {
@@ -500,139 +350,10 @@ func (e *procEnv) Send(to msg.Addr, m *msg.Message) {
 	}
 }
 
-func (e *procEnv) Recv(match msg.Match) *msg.Message {
-	q := e.f.mailboxes[e.addr]
-	tag := "recv@" + e.addr.String()
-	expired, stop := e.opTimer(e.addr.Server)
-	defer stop()
-	e.f.mu.Lock()
-	for {
-		if m := q.TryPop(match); m != nil {
-			e.f.mu.Unlock()
-			// Enforce a fault-injected arrival time in wall time (with
-			// no faults the stamp is the actual socket arrival, already
-			// in the past).
-			if wait := m.Arrival - time.Since(e.f.start); wait > 0 {
-				time.Sleep(wait)
-			}
-			return m
-		}
-		if ferr := e.f.fault; ferr != nil {
-			e.f.mu.Unlock()
-			panic(abort{ferr})
-		}
-		e.viewIntrCheckLocked()
-		if e.addr.Server && e.f.shutdown {
-			e.f.mu.Unlock()
-			return nil
-		}
-		if expired() {
-			e.f.mu.Unlock()
-			panic(opTimeout(e.addr, tag))
-		}
-		e.f.cond.Wait()
-	}
-}
-
-func (e *procEnv) TryRecv(match msg.Match) *msg.Message {
-	now := time.Since(e.f.start)
-	e.f.mu.Lock()
-	if ferr := e.f.fault; ferr != nil {
-		e.f.mu.Unlock()
-		panic(abort{ferr})
-	}
-	e.viewIntrCheckLocked()
-	m := e.f.mailboxes[e.addr].TryPop(func(m *msg.Message) bool {
-		return m.Arrival <= now && match(m)
-	})
-	e.f.mu.Unlock()
-	return m
-}
-
-func (e *procEnv) WaitUntil(tag string, pred func() bool) {
-	expired, stop := e.opTimer(false)
-	defer stop()
-	e.f.mu.Lock()
-	for !pred() {
-		if ferr := e.f.fault; ferr != nil {
-			e.f.mu.Unlock()
-			panic(abort{ferr})
-		}
-		e.viewIntrCheckLocked()
-		if e.f.shutdown && e.addr.Server {
-			break
-		}
-		if expired() {
-			e.f.mu.Unlock()
-			panic(opTimeout(e.addr, tag))
-		}
-		e.f.cond.Wait()
-	}
-	e.f.mu.Unlock()
-}
-
-func (e *procEnv) WaitUntilFor(tag string, pred func() bool, d time.Duration) bool {
-	if d <= 0 {
-		e.WaitUntil(tag, pred)
-		return true
-	}
-	deadline := time.Now().Add(d)
-	t := time.AfterFunc(d, func() {
-		e.f.mu.Lock()
-		e.f.cond.Broadcast()
-		e.f.mu.Unlock()
-	})
-	defer t.Stop()
-	e.f.mu.Lock()
-	for !pred() {
-		if ferr := e.f.fault; ferr != nil {
-			e.f.mu.Unlock()
-			panic(abort{ferr})
-		}
-		e.viewIntrCheckLocked()
-		if !time.Now().Before(deadline) {
-			e.f.mu.Unlock()
-			return false
-		}
-		e.f.cond.Wait()
-	}
-	e.f.mu.Unlock()
-	return true
-}
-
-func (e *procEnv) Faults() pipeline.Faults { return e.f.pipe.Faults() }
-
-// CrashedRank consults the process-local registry only: a rank
-// fail-stopped on another worker is detected by the cluster layer
-// (heartbeats / connection loss) as a FaultPeerLost instead. Lease-lock
-// waiters on this fabric therefore rely purely on TTL timing, which
-// needs no registry at all.
-func (e *procEnv) CrashedRank() int { return e.f.pipe.FirstCrashed() }
-
 // FailStop on the multi-process fabric is job-fatal: the crash registry
 // cannot cross process boundaries, so remote waiters could never
 // distinguish the fail-stop from a wedged peer. The run aborts with the
 // rank-attributed FaultError instead of silently dropping the actor.
 func (e *procEnv) FailStop(op string) {
 	panic(abort{e.f.pipe.CrashNow(e.addr.ID, op)})
-}
-
-func (e *procEnv) AbortFault(err *pipeline.FaultError) {
-	panic(abort{err})
-}
-
-// opTimer arms the per-op deadline for one blocking operation,
-// mirroring the channel and TCP fabrics' helper.
-func (e *procEnv) opTimer(exempt bool) (expired func() bool, stop func()) {
-	od := e.f.cfg.OpDeadline
-	if od <= 0 || exempt {
-		return func() bool { return false }, func() {}
-	}
-	deadline := time.Now().Add(od)
-	t := time.AfterFunc(od, func() {
-		e.f.mu.Lock()
-		e.f.cond.Broadcast()
-		e.f.mu.Unlock()
-	})
-	return func() bool { return !time.Now().Before(deadline) }, func() { t.Stop() }
 }

@@ -9,7 +9,14 @@
 //   - channet: real goroutines exchanging messages through in-process
 //     mailboxes — the fabric correctness tests use;
 //   - tcpnet:  real goroutines whose every message crosses a loopback TCP
-//     socket through a star router — the "emulate over sockets" fabric.
+//     socket through a star router — the "emulate over sockets" fabric;
+//   - procnet: one node's slice of a multi-process cluster, its messages
+//     crossing real inter-process connections (see internal/cluster).
+//
+// The three concurrent fabrics share one core (live.go): the mailboxes,
+// every blocking wait with its per-op deadline and crash grace, and the
+// actor lifecycle. Each supplies only its bring-up, its delivery path
+// and, for procnet, the elastic-membership surface.
 package transport
 
 import (
@@ -123,17 +130,6 @@ type Config struct {
 	// Metrics, if non-nil, collects per-kind/per-pair message latency
 	// histograms, fault counters and (optionally) a delivery timeline.
 	Metrics *pipeline.Metrics
-	// Jitter adds a uniformly random extra delay in [0, Jitter) to
-	// every message arrival.
-	//
-	// Deprecated: this was the channel-fabric-only stress knob; it now
-	// maps onto Faults.Jitter (and applies on every fabric). Set
-	// Faults.Jitter directly instead.
-	Jitter time.Duration
-	// JitterSeed seeds the jitter generator.
-	//
-	// Deprecated: maps onto Faults.Seed; set that instead.
-	JitterSeed int64
 	// ScheduleSeed, when non-zero, makes the simulated fabric pick among
 	// simultaneously runnable processes pseudo-randomly (reproducibly for
 	// a given seed) instead of FIFO — interleaving exploration for
@@ -177,9 +173,6 @@ func (c *Config) normalize() error {
 	if c.Procs <= 0 {
 		return fmt.Errorf("transport: config needs Procs >= 1, got %d", c.Procs)
 	}
-	if c.Jitter < 0 {
-		return fmt.Errorf("transport: config needs Jitter >= 0, got %v", c.Jitter)
-	}
 	if c.Deadline < 0 {
 		return fmt.Errorf("transport: config needs Deadline >= 0, got %v", c.Deadline)
 	}
@@ -209,13 +202,6 @@ func (c *Config) normalize() error {
 	}
 	if c.Trace == nil {
 		c.Trace = trace.New()
-	}
-	// Fold the deprecated jitter knobs into the fault plan.
-	if c.Jitter > 0 && c.Faults.Jitter == 0 {
-		c.Faults.Jitter = c.Jitter
-		if c.Faults.Seed == 0 {
-			c.Faults.Seed = c.JitterSeed
-		}
 	}
 	return nil
 }

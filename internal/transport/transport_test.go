@@ -32,7 +32,6 @@ func TestConfigRejectsBadKnobs(t *testing.T) {
 		cfg  Config
 		want string // substring of the error
 	}{
-		{"negative jitter", Config{Procs: 2, Jitter: -time.Microsecond}, "Jitter >= 0"},
 		{"negative deadline", Config{Procs: 2, Deadline: -time.Second}, "Deadline >= 0"},
 		{"negative fault jitter", Config{Procs: 2, Faults: pipeline.Faults{Jitter: -1}}, "fault plan"},
 		{"negative spike delay", Config{Procs: 2, Faults: pipeline.Faults{SpikeDelay: -time.Millisecond, SpikeProb: 0.1}}, "fault plan"},
@@ -51,14 +50,6 @@ func TestConfigRejectsBadKnobs(t *testing.T) {
 				t.Fatalf("error %q does not mention %q", err, tc.want)
 			}
 		})
-	}
-	// And the deprecated Jitter knob must still fold into the fault plan.
-	cfg := Config{Procs: 2, Jitter: 5 * time.Microsecond, JitterSeed: 9}
-	if err := cfg.normalize(); err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Faults.Jitter != 5*time.Microsecond || cfg.Faults.Seed != 9 {
-		t.Fatalf("deprecated Jitter not folded: %+v", cfg.Faults)
 	}
 }
 
@@ -333,6 +324,51 @@ func TestWaitUntilAcrossActors(t *testing.T) {
 	}
 }
 
+// TestWaitUntilForAllFabrics: the bounded wait gives up — never before
+// its bound — while the predicate stays false, and reports success once
+// a server's write makes the predicate true, on every fabric.
+func TestWaitUntilForAllFabrics(t *testing.T) {
+	const bound = 20 * time.Millisecond
+	for name, mk := range fabricsUnderTest(t, Config{Procs: 1, Model: model.Myrinet2000()}) {
+		t.Run(name, func(t *testing.T) {
+			f, err := mk()
+			if err != nil {
+				t.Fatal(err)
+			}
+			cell := f.Space().AllocWords(0, 1)
+			f.SpawnServer(0, func(env Env) {
+				if env.Recv(msg.MatchAny) == nil {
+					return
+				}
+				env.Space().Store(cell, 42)
+				for env.Recv(msg.MatchAny) != nil {
+				}
+			})
+			var expired, woken bool
+			var waited time.Duration
+			f.SpawnUser(0, func(env Env) {
+				start := env.Clock().Now()
+				expired = !env.WaitUntilFor("never", func() bool { return false }, bound)
+				waited = env.Clock().Now() - start
+				env.Send(msg.ServerOf(0), &msg.Message{Kind: msg.KindRmw, Op: uint8(msg.RmwStore)})
+				woken = env.WaitUntilFor("cell", func() bool { return env.Space().Load(cell) != 0 }, 10*time.Second)
+			})
+			if err := f.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if !expired {
+				t.Fatal("a never-true predicate was reported satisfied")
+			}
+			if waited < bound {
+				t.Fatalf("wait gave up after %v, before its bound %v", waited, bound)
+			}
+			if !woken {
+				t.Fatal("the server's store did not satisfy the bounded wait")
+			}
+		})
+	}
+}
+
 // TestPanicPropagation: an actor panic surfaces as a Run error naming the
 // actor, on every fabric.
 func TestPanicPropagation(t *testing.T) {
@@ -517,7 +553,7 @@ func TestChanSendToUnknownEndpointPanics(t *testing.T) {
 // TestJitterPreservesPerPairFIFO at the transport level: with heavy
 // jitter, tagged messages from one sender still arrive in send order.
 func TestJitterPreservesPerPairFIFO(t *testing.T) {
-	f, err := NewChan(Config{Procs: 2, Jitter: 2 * time.Millisecond, JitterSeed: 3})
+	f, err := NewChan(Config{Procs: 2, Faults: pipeline.Faults{Jitter: 2 * time.Millisecond, Seed: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,9 +20,20 @@ if [ "${1:-}" = "-quick" ]; then
     quick="-quick"
 fi
 
+# The newest baseline is the one with the largest numeric suffix: the
+# glob sorts lexically, so BENCH_9.json would follow BENCH_10.json.
 latest=""
+newest=-1
 for f in BENCH_*.json; do
-    [ -e "$f" ] && latest="$f"
+    n=${f#BENCH_}
+    n=${n%.json}
+    case "$n" in
+        '' | *[!0-9]*) continue ;;
+    esac
+    if [ "$n" -gt "$newest" ]; then
+        newest=$n
+        latest=$f
+    fi
 done
 if [ -z "$latest" ]; then
     echo "benchdiff: no BENCH_*.json baseline committed; create one with: go run ./cmd/armci-bench -baseline" >&2

@@ -10,6 +10,10 @@ cd "$(dirname "$0")/.."
 go vet ./...
 go build ./...
 go test ./...
+# perfbench/ is its own module (the wall-clock benchmark), so the root
+# ./... patterns above do not reach it; vet and test it explicitly.
+go -C perfbench vet ./...
+go -C perfbench test ./...
 # Race pass over every concurrency-bearing package: the internals, the
 # GA and MP layers, and the conformance harness (-short trims its sweep
 # to the sim-fabric matrix).
