@@ -43,6 +43,7 @@ import (
 	"time"
 
 	"armci"
+	"armci/internal/transport"
 	"armci/internal/workload"
 )
 
@@ -233,6 +234,14 @@ func RunCase(c Case) Result {
 		panic(fmt.Sprintf("check: deliberate harness panic for case %s", c.Reproducer()))
 	}
 	col := &collector{}
+	body := workloadBody(c, col)
+	if spec.wakeLoss > 0 {
+		inner := body
+		body = func(p *armci.Proc) {
+			transport.SetWakeLossHazard(p.Env(), spec.wakeLoss)
+			inner(p)
+		}
+	}
 	alg, nicFence := syncOptions(c.Sync)
 	rep, runErr := armci.Run(armci.Options{
 		Procs:           c.Procs,
@@ -252,7 +261,7 @@ func RunCase(c Case) Result {
 		Faults:             faults,
 		LeaseTTL:           c.LeaseTTL,
 		OpDeadline:         c.OpDeadline,
-	}, workloadBody(c, col))
+	}, body)
 
 	r := Result{Case: c}
 	if runErr != nil {

@@ -1,6 +1,7 @@
 package check
 
 import (
+	"strings"
 	"testing"
 
 	"armci"
@@ -188,6 +189,19 @@ func TestMutationsDetected(t *testing.T) {
 	}
 }
 
+// TestLostWakeupCaughtAtSeedOne: a swallowed mailbox Signal strands a
+// receiver at once, so the very first seed reports a deadlock — keyed
+// waits cannot lose a wake-up without the liveness oracle noticing.
+func TestLostWakeupCaughtAtSeedOne(t *testing.T) {
+	r := RunCase(MutationCase(MutLostWakeup, 1))
+	for _, v := range r.Violations {
+		if v.Oracle == "liveness" && strings.Contains(v.Detail, "deadlock") {
+			return
+		}
+	}
+	t.Fatalf("lost-wakeup mutation at seed 1: no liveness deadlock among %v (err %v)", r.Violations, r.Err)
+}
+
 // TestMutationsTargetExpectedOracle pins each mutation to the oracle
 // family that should catch it, so a regression that silently reroutes
 // detection (e.g. the state check catching what the fence oracle
@@ -202,6 +216,7 @@ func TestMutationsTargetExpectedOracle(t *testing.T) {
 		MutBarrierSkipStage2:  "fence",
 		MutSyncOldSkipFence:   "fence",
 		MutEventPoolRecycle:   "liveness",
+		MutLostWakeup:         "liveness",
 		MutCoalesceReorder:    "state",
 		MutLeaseStaleRelease:  "mutual-exclusion",
 		MutAccLostUpdate:      "state",

@@ -58,6 +58,16 @@ const (
 	// oracles. Proves the oracles catch pooling-induced corruption, not
 	// just protocol bugs.
 	MutEventPoolRecycle = "event-pool-recycle"
+	// MutLostWakeup: the algorithms are untouched — the simulated
+	// fabric's delivery path skips the mailbox Signal on every 8th
+	// delivery (transport.SetWakeLossHazard), so the
+	// message is queued but its receiver is never re-checked and sleeps
+	// until some later delivery to the same mailbox. A lost wake-up is
+	// the one bug class keyed waits introduce; a receiver whose last
+	// message is swallowed strands the run, detected as a liveness
+	// violation (deadlock). Proves the oracles catch a kernel wake-up
+	// bug, not just protocol bugs.
+	MutLostWakeup = "lost-wakeup"
 	// MutCoalesceReorder: the coalescer flushes each batch with its
 	// entries reversed (pipeline.CoalesceOpts.ReorderHazard), so a
 	// notify flag coalesced behind its data chunks is applied first and
@@ -141,6 +151,9 @@ type mutationSpec struct {
 	faults string // fault plan that widens the bug's race window
 	lock   func(p *armci.Proc) armci.Mutex
 	syncFn func(p *armci.Proc, epoch *int) func()
+	// wakeLoss arms the simulated fabric's lost-wake-up hazard: one
+	// delivery Signal in wakeLoss is swallowed (see MutLostWakeup).
+	wakeLoss int
 	// simHazard arms the simulated kernel's event-pool bug instead of
 	// mutating an algorithm.
 	simHazard bool
@@ -176,6 +189,7 @@ var mutationSpecs = map[string]mutationSpec{
 	MutBarrierSkipStage2: {alg: "queue", sync: "barrier", faults: "spike=1ms@0.2", syncFn: brokenBarrier},
 	MutSyncOldSkipFence:  {alg: "queue", sync: "sync-old", syncFn: brokenSyncOld},
 	MutEventPoolRecycle:  {alg: "queue", sync: "barrier", simHazard: true},
+	MutLostWakeup:        {alg: "queue", sync: "barrier", wakeLoss: 8},
 	MutCoalesceReorder:   {sync: "barrier", coalesceHazard: true},
 	MutLeaseStaleRelease: {alg: "lease", sync: "barrier", faults: "crashheld=1@1",
 		leaseTTL: 10 * time.Microsecond, csDelay: 300 * time.Microsecond,
@@ -193,7 +207,7 @@ var mutationSpecs = map[string]mutationSpec{
 // Mutations returns the broken variant names, in a fixed order.
 func Mutations() []string {
 	return []string{MutQueueSkipLinkWait, MutTicketOffByOne, MutBarrierSkipStage2,
-		MutSyncOldSkipFence, MutEventPoolRecycle, MutCoalesceReorder,
+		MutSyncOldSkipFence, MutEventPoolRecycle, MutLostWakeup, MutCoalesceReorder,
 		MutLeaseStaleRelease, MutAccLostUpdate, MutFlagBeforeData,
 		MutKnomialSkipSubtree, MutReplStaleEpoch}
 }

@@ -280,10 +280,15 @@ type Queue struct {
 func (q *Queue) Put(m *Message) { q.items = append(q.items, m) }
 
 // TryPop removes and returns the first message satisfying match, or nil.
+// The vacated tail slot is cleared, so the queue's backing array never
+// keeps a popped message reachable.
 func (q *Queue) TryPop(match Match) *Message {
 	for i, m := range q.items {
 		if match(m) {
-			q.items = append(q.items[:i], q.items[i+1:]...)
+			last := len(q.items) - 1
+			copy(q.items[i:], q.items[i+1:])
+			q.items[last] = nil
+			q.items = q.items[:last]
 			return m
 		}
 	}

@@ -81,6 +81,46 @@ func TestQueueMatchedRemovalSkipsOthers(t *testing.T) {
 	}
 }
 
+// TestQueuePopReleasesMessage: after a pop, no slot of the queue's
+// backing array — including the vacated tail beyond Len — still points at
+// the popped message, so it is not kept reachable until the next Put.
+func TestQueuePopReleasesMessage(t *testing.T) {
+	pinned := func(q *Queue, m *Message) bool {
+		for _, held := range q.items[:cap(q.items)] {
+			if held == m {
+				return true
+			}
+		}
+		return false
+	}
+	var q Queue
+	only := &Message{Kind: KindPutAck}
+	q.Put(only)
+	if q.TryPop(MatchAny) != only {
+		t.Fatal("pop of a one-element queue lost the message")
+	}
+	if pinned(&q, only) {
+		t.Fatal("backing array still holds the message popped from a one-element queue")
+	}
+
+	a, b, c := &Message{Tag: 1}, &Message{Tag: 2}, &Message{Tag: 3}
+	q.Put(a)
+	q.Put(b)
+	q.Put(c)
+	if q.TryPop(func(m *Message) bool { return m.Tag == 2 }) != b {
+		t.Fatal("matched pop from the middle returned the wrong message")
+	}
+	if pinned(&q, b) {
+		t.Fatal("backing array still holds the message popped from the middle")
+	}
+	if q.Len() != 2 || q.TryPop(MatchAny) != a || q.TryPop(MatchAny) != c {
+		t.Fatal("remaining messages lost their order")
+	}
+	if pinned(&q, c) {
+		t.Fatal("backing array still holds the last popped message")
+	}
+}
+
 func TestMatchToken(t *testing.T) {
 	m := &Message{Kind: KindGetResp, Token: 5}
 	if !MatchToken(KindGetResp, 5)(m) {

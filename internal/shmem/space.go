@@ -19,9 +19,10 @@ type Space struct {
 	prot     []protState // per-rank dirty-page tracking (nil until Protect)
 
 	// onWrite, when non-nil, is invoked (outside the space lock) after
-	// every mutation. The concurrent fabrics use it to wake processes
-	// blocked in WaitUntil on local memory (MCS locked flags, op_done
-	// counters); the simulated fabric re-evaluates predicates on its own.
+	// every mutation. The fabrics use it to wake processes blocked in
+	// WaitUntil on local memory (MCS locked flags, op_done counters): the
+	// concurrent ones broadcast their condition variable, the simulated
+	// one signals its memory key.
 	onWrite func()
 }
 

@@ -3,9 +3,9 @@
 // A Kernel owns a virtual clock and a set of cooperating processes. Each
 // process runs in its own goroutine, but the kernel guarantees that at most
 // one process executes at any instant: a process runs until it calls one of
-// the blocking primitives (Sleep, Wait, WaitUntil, Yield), at which point
-// control returns to the kernel's scheduler, which advances virtual time
-// only when no process is runnable. Execution is therefore fully
+// the blocking primitives (Sleep, WaitOn, WaitUntil, YieldProc), at which
+// point control returns to the kernel's scheduler, which advances virtual
+// time only when no process is runnable. Execution is therefore fully
 // deterministic — the same program produces the same event trace and the
 // same virtual-time results on every run — which is what allows the
 // benchmark harness to report reproducible "paper figure" numbers.
@@ -13,12 +13,25 @@
 // The design follows the classic cooperative process-based simulation
 // style (SimPy, CSIM): a baton is passed between the scheduler and exactly
 // one process goroutine at a time.
+//
+// A blocked process waits on a predicate registered under a Key, the
+// name of the state the predicate reads. Whoever changes that state
+// calls Signal on its key (or Poke on one process, for per-wait timers);
+// after every process time slice and every batch of fired events the
+// kernel re-evaluates only the waits signalled since the last check, in
+// wait-registration order. A wait with a nil key is re-evaluated at every
+// such check. As long as every change a predicate can observe signals its
+// key, the keyed schedule is exactly the one re-evaluating every wait
+// would produce, at a cost that does not grow with the number of blocked
+// processes.
 package sim
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -40,7 +53,17 @@ type Kernel struct {
 	runnable []*Proc // FIFO run queue
 	live     int     // processes started and not yet finished
 
-	condWaiters []*Proc // processes blocked in WaitUntil
+	// Wait bookkeeping (see WaitOn). waitSeq numbers waits in
+	// registration order; nilWaiters holds the nil-key waits in that
+	// order; signaled and poked queue what the next recheck evaluates;
+	// pass stamps each recheck so a process queued twice is evaluated
+	// once; recheckBuf is the reused scratch list of one recheck.
+	waitSeq    uint64
+	nilWaiters []*Proc
+	signaled   []*Key
+	poked      []*Proc
+	pass       uint64
+	recheckBuf []*Proc
 
 	baton chan *Proc // scheduler -> process hand-off rendezvous
 
@@ -235,8 +258,17 @@ type Proc struct {
 	fn    func(p *Proc)
 
 	resume chan struct{} // scheduler tells the process to run
-	cond   func() bool   // predicate when blocked in WaitUntil
 	wake   func()        // cached Sleep-timer callback (built once in Spawn)
+
+	// The current wait (see WaitOn): its predicate, key, registration
+	// number and index in key.waiters. poked marks the process as queued
+	// in k.poked; pass is the last recheck that evaluated it.
+	cond   func() bool
+	key    *Key
+	seq    uint64
+	keyIdx int
+	poked  bool
+	pass   uint64
 
 	wakeAt   time.Duration // diagnostic: time of pending timer, -1 if none
 	blockTag string        // diagnostic: what the process is blocked on
@@ -405,37 +437,138 @@ func (p *Proc) YieldProc() {
 	p.yield()
 }
 
-// WaitUntil blocks the process until pred() reports true. The predicate is
-// re-evaluated by the kernel after every process time slice and after every
-// fired event, so any state change made by another actor is observed at the
-// virtual time it happens.
-func (p *Proc) WaitUntil(tag string, pred func() bool) {
+// Key names a piece of state that wait predicates read — a mailbox, a
+// memory space. The zero value is ready to use; a Key belongs to the
+// kernel whose processes wait on it.
+type Key struct {
+	waiters  []*Proc // processes blocked on this key, in no particular order
+	signaled bool    // queued in k.signaled for the next recheck
+}
+
+// Signal queues every process blocked on key for re-evaluation at the
+// next recheck. Call it after changing state that waits on key read. It
+// costs O(1); a key nobody waits on is left alone.
+func (k *Kernel) Signal(key *Key) {
+	if key.signaled || len(key.waiters) == 0 {
+		return
+	}
+	key.signaled = true
+	k.signaled = append(k.signaled, key)
+}
+
+// Poke queues p alone for re-evaluation at the next recheck, whatever
+// key it waits on. Per-wait timers use it. Poking a process that is not
+// blocked in a wait, or that is already queued, is a no-op, so a stale
+// timer re-evaluates the process's next wait at most once and cannot wake
+// it unless its predicate holds.
+func (k *Kernel) Poke(p *Proc) {
+	if p.poked || p.state != stateBlocked || p.cond == nil {
+		return
+	}
+	p.poked = true
+	k.poked = append(k.poked, p)
+}
+
+// WaitOn blocks the process until pred() reports true. pred is evaluated
+// once on entry and afterwards only at a recheck that follows Signal(key)
+// or Poke(p); a nil key re-evaluates it at every recheck (after every
+// process time slice and every batch of fired events). So pred may read
+// only state whose every change signals key, and it must not change state
+// other waits read, except to consume what it waited for. Woken processes
+// join the run queue in wait-registration order.
+func (p *Proc) WaitOn(key *Key, tag string, pred func() bool) {
 	if pred() {
 		return
 	}
+	k := p.k
 	p.state = stateBlocked
 	p.blockTag = tag
 	p.cond = pred
-	p.k.condWaiters = append(p.k.condWaiters, p)
+	p.key = key
+	k.waitSeq++
+	p.seq = k.waitSeq
+	if key == nil {
+		k.nilWaiters = append(k.nilWaiters, p)
+	} else {
+		p.keyIdx = len(key.waiters)
+		key.waiters = append(key.waiters, p)
+	}
 	p.yield()
 }
 
-// recheckConds wakes every cond-blocked process whose predicate has become
-// true. Processes are woken in registration order for determinism.
+// WaitUntil is WaitOn with a nil key: pred is re-evaluated after every
+// process time slice and every batch of fired events, so it may read any
+// state.
+func (p *Proc) WaitUntil(tag string, pred func() bool) { p.WaitOn(nil, tag, pred) }
+
+// endWait unregisters p's satisfied wait. The order of key.waiters does
+// not matter (rechecks sort by registration number), so it swap-removes.
+func (k *Kernel) endWait(p *Proc) {
+	if key := p.key; key != nil {
+		last := len(key.waiters) - 1
+		moved := key.waiters[last]
+		key.waiters[p.keyIdx] = moved
+		moved.keyIdx = p.keyIdx
+		key.waiters[last] = nil
+		key.waiters = key.waiters[:last]
+	} else {
+		for i, w := range k.nilWaiters {
+			if w == p {
+				last := len(k.nilWaiters) - 1
+				copy(k.nilWaiters[i:], k.nilWaiters[i+1:])
+				k.nilWaiters[last] = nil
+				k.nilWaiters = k.nilWaiters[:last]
+				break
+			}
+		}
+	}
+	p.cond, p.key = nil, nil
+}
+
+// recheckConds evaluates the waits queued since the last recheck — the
+// waiters of every signalled key, every poked process and every nil-key
+// waiter — and wakes those whose predicate holds, in wait-registration
+// order. A signal raised while the queued waits are being evaluated is
+// left for the next recheck.
 func (k *Kernel) recheckConds() {
-	if len(k.condWaiters) == 0 {
+	if len(k.signaled) == 0 && len(k.poked) == 0 && len(k.nilWaiters) == 0 {
 		return
 	}
-	remaining := k.condWaiters[:0]
-	for _, p := range k.condWaiters {
-		if p.state == stateBlocked && p.cond != nil && p.cond() {
-			p.cond = nil
-			k.markRunnable(p)
-			continue
+	k.pass++
+	for _, key := range k.signaled {
+		key.signaled = false
+		for _, p := range key.waiters {
+			k.queueRecheck(p)
 		}
-		remaining = append(remaining, p)
 	}
-	k.condWaiters = remaining
+	k.signaled = k.signaled[:0]
+	for _, p := range k.poked {
+		p.poked = false
+		if p.state == stateBlocked && p.cond != nil {
+			k.queueRecheck(p)
+		}
+	}
+	k.poked = k.poked[:0]
+	for _, p := range k.nilWaiters {
+		k.queueRecheck(p)
+	}
+	buf := k.recheckBuf
+	slices.SortFunc(buf, func(a, b *Proc) int { return cmp.Compare(a.seq, b.seq) })
+	for _, p := range buf {
+		if p.cond() {
+			k.endWait(p)
+			k.markRunnable(p)
+		}
+	}
+	k.recheckBuf = buf[:0]
+}
+
+// queueRecheck adds p to the current recheck's list once.
+func (k *Kernel) queueRecheck(p *Proc) {
+	if p.pass != k.pass {
+		p.pass = k.pass
+		k.recheckBuf = append(k.recheckBuf, p)
+	}
 }
 
 // deadlockError reports every blocked process and what it was waiting for.

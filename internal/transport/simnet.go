@@ -22,12 +22,27 @@ type SimFabric struct {
 	space  *shmem.Space
 	pipe   *pipeline.Pipeline
 
-	mailboxes map[msg.Addr]*msg.Queue
+	mailboxes map[msg.Addr]*simBox
+	// memKey is the key of every memory wait: the Space's onWrite hook
+	// signals it after each mutation.
+	memKey sim.Key
 
 	users     []actorSpec
 	servers   []actorSpec
 	liveUsers int
 	shutdown  bool
+
+	// wakeLossEvery arms the lost-wake-up mutation hook (see
+	// SetWakeLossHazard); deliveries counts deliveries since arming.
+	wakeLossEvery int
+	deliveries    int
+}
+
+// simBox is one actor's mailbox and the key its Recv waits on; the
+// delivery event signals the key after queueing a message.
+type simBox struct {
+	q   msg.Queue
+	key sim.Key
 }
 
 type actorSpec struct {
@@ -44,8 +59,9 @@ func NewSim(cfg Config) (*SimFabric, error) {
 		cfg:       cfg,
 		kernel:    sim.New(),
 		space:     shmem.NewSpace(cfg.nodeMap()),
-		mailboxes: make(map[msg.Addr]*msg.Queue),
+		mailboxes: make(map[msg.Addr]*simBox),
 	}
+	f.space.SetOnWrite(func() { f.kernel.Signal(&f.memKey) })
 	f.pipe = cfg.newPipeline(f.space, true)
 	if cfg.ScheduleSeed != 0 {
 		f.kernel.SetShuffle(cfg.ScheduleSeed)
@@ -79,10 +95,10 @@ func (f *SimFabric) SpawnServer(node int, body func(Env)) {
 // are unblocked with a nil Recv result once the last user is done.
 func (f *SimFabric) Run() error {
 	for _, a := range f.users {
-		f.mailboxes[a.addr] = &msg.Queue{}
+		f.mailboxes[a.addr] = &simBox{}
 	}
 	for _, a := range f.servers {
-		f.mailboxes[a.addr] = &msg.Queue{}
+		f.mailboxes[a.addr] = &simBox{}
 	}
 	f.liveUsers = len(f.users)
 	for _, a := range f.users {
@@ -92,15 +108,19 @@ func (f *SimFabric) Run() error {
 				f.liveUsers--
 				if f.liveUsers == 0 {
 					f.shutdown = true
+					// Servers blocked in Recv re-check their exit condition.
+					for _, box := range f.mailboxes {
+						f.kernel.Signal(&box.key)
+					}
 				}
 			}()
-			spec.body(&simEnv{f: f, p: p, addr: spec.addr})
+			spec.body(f.newEnv(p, spec.addr))
 		})
 	}
 	for _, a := range f.servers {
 		spec := a
 		f.kernel.Spawn(spec.addr.String(), func(p *sim.Proc) {
-			spec.body(&simEnv{f: f, p: p, addr: spec.addr})
+			spec.body(f.newEnv(p, spec.addr))
 		})
 	}
 	deadline := f.cfg.Deadline
@@ -129,9 +149,15 @@ func (f *SimFabric) Now() time.Duration { return f.kernel.Now() }
 
 // simEnv is the Env of one simulated actor.
 type simEnv struct {
-	f    *SimFabric
-	p    *sim.Proc
-	addr msg.Addr
+	f       *SimFabric
+	p       *sim.Proc
+	addr    msg.Addr
+	box     *simBox
+	recvTag string // Recv's block tag and fault Op, built once
+}
+
+func (f *SimFabric) newEnv(p *sim.Proc, addr msg.Addr) *simEnv {
+	return &simEnv{f: f, p: p, addr: addr, box: f.mailboxes[addr], recvTag: "recv@" + addr.String()}
 }
 
 var _ Env = (*simEnv)(nil)
@@ -158,7 +184,7 @@ func (e *simEnv) Charge(d time.Duration) {
 }
 
 func (e *simEnv) Send(to msg.Addr, m *msg.Message) {
-	q, ok := e.f.mailboxes[to]
+	box, ok := e.f.mailboxes[to]
 	if !ok {
 		panic(fmt.Sprintf("simnet: send to unknown endpoint %v", to))
 	}
@@ -166,7 +192,10 @@ func (e *simEnv) Send(to msg.Addr, m *msg.Message) {
 		dm := d.Msg
 		e.p.Kernel().At(d.At, func() {
 			if e.f.pipe.Inbound(dm, e.f.kernel.Now()) {
-				q.Put(dm)
+				box.q.Put(dm)
+				if !e.f.loseWake() {
+					e.f.kernel.Signal(&box.key)
+				}
 			}
 		})
 	})
@@ -186,17 +215,17 @@ func (e *simEnv) Send(to msg.Addr, m *msg.Message) {
 }
 
 func (e *simEnv) Recv(match msg.Match) *msg.Message {
-	q := e.f.mailboxes[e.addr]
+	q := &e.box.q
 	var got *msg.Message
 	// Bound user-process Recvs by the per-op deadline via a virtual-time
 	// timer flag re-checked by the wait predicate. Servers are exempt:
 	// idling in the serve loop is their normal state.
 	timedOut := false
 	if od := e.f.cfg.OpDeadline; od > 0 && !e.addr.Server {
-		e.p.Kernel().After(od, func() { timedOut = true })
+		e.startTimer(od, &timedOut)
 	}
-	tag := "recv@" + e.addr.String()
-	e.p.WaitUntil(tag, func() bool {
+	tag := e.recvTag
+	e.p.WaitOn(&e.box.key, tag, func() bool {
 		if e.addr.Server && e.f.shutdown && q.Len() == 0 {
 			return true // drained and cluster is shutting down
 		}
@@ -223,7 +252,7 @@ func (e *simEnv) Recv(match msg.Match) *msg.Message {
 func (e *simEnv) TryRecv(match msg.Match) *msg.Message {
 	// Messages reach the mailbox only at their delivery instant (the
 	// kernel's At callback), so anything queued has already arrived.
-	m := e.f.mailboxes[e.addr].TryPop(match)
+	m := e.box.q.TryPop(match)
 	if m != nil {
 		e.f.pipe.RecvCharge(e.Charge)
 	}
@@ -233,10 +262,10 @@ func (e *simEnv) TryRecv(match msg.Match) *msg.Message {
 func (e *simEnv) WaitUntil(tag string, pred func() bool) {
 	timedOut := false
 	if od := e.f.cfg.OpDeadline; od > 0 {
-		e.p.Kernel().After(od, func() { timedOut = true })
+		e.startTimer(od, &timedOut)
 	}
 	done := false
-	e.p.WaitUntil(tag, func() bool {
+	e.p.WaitOn(&e.f.memKey, tag, func() bool {
 		done = pred()
 		return done || timedOut
 	})
@@ -259,9 +288,9 @@ func (e *simEnv) WaitUntilFor(tag string, pred func() bool, d time.Duration) boo
 		return true
 	}
 	timedOut := false
-	e.p.Kernel().After(d, func() { timedOut = true })
+	e.startTimer(d, &timedOut)
 	done := false
-	e.p.WaitUntil(tag, func() bool {
+	e.p.WaitOn(&e.f.memKey, tag, func() bool {
 		done = pred()
 		return done || timedOut
 	})
@@ -269,6 +298,41 @@ func (e *simEnv) WaitUntilFor(tag string, pred func() bool, d time.Duration) boo
 		e.p.Sleep(g)
 	}
 	return done
+}
+
+// SetWakeLossHazard arms a deliberately broken delivery path on the
+// simulated fabric running env: every k-th message delivery queues its
+// message but skips the mailbox Signal, so the receiver sleeps through it
+// until something else signals that mailbox. It exists solely as a
+// mutation hook for the conformance harness's oracle self-test — a lost
+// wake-up is the one bug class keyed waits can introduce; never arm it
+// outside tests. Like Config.EventPoolHazard it is ignored on the other
+// fabrics.
+func SetWakeLossHazard(env Env, k int) {
+	if e, ok := env.(*simEnv); ok {
+		e.f.wakeLossEvery = k
+	}
+}
+
+// loseWake reports whether the armed lost-wake-up hazard swallows the
+// current delivery's Signal.
+func (f *SimFabric) loseWake() bool {
+	if f.wakeLossEvery <= 0 {
+		return false
+	}
+	f.deliveries++
+	return f.deliveries%f.wakeLossEvery == 0
+}
+
+// startTimer sets *fired after d of virtual time and pokes this actor, so
+// the wait the timer bounds re-checks it. A timer that outlives its wait
+// re-evaluates the actor's next wait once, harmlessly.
+func (e *simEnv) startTimer(d time.Duration, fired *bool) {
+	k := e.p.Kernel()
+	k.After(d, func() {
+		*fired = true
+		k.Poke(e.p)
+	})
 }
 
 func (e *simEnv) Faults() pipeline.Faults { return e.f.pipe.Faults() }

@@ -74,7 +74,9 @@ type Env interface {
 	Charge(d time.Duration)
 	// WaitUntil blocks until pred() is true. pred must depend only on
 	// shared memory or other fabric-visible state, so the fabric can
-	// re-evaluate it when that state changes. tag is diagnostic.
+	// re-evaluate it when that state changes. On the simulated fabric it
+	// may read only Space state (and the caller's own variables): only a
+	// Space mutation re-evaluates it there. tag is diagnostic.
 	WaitUntil(tag string, pred func() bool)
 	// WaitUntilFor is the bounded form of WaitUntil: it blocks until
 	// pred() is true or d has elapsed (virtual time on the simulated
